@@ -1044,7 +1044,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="REFERENCE",
         help="compare micro-benchmark throughputs against a reference "
-        f"BENCH_fastpath.json; exit non-zero on a >{CHECK_TOLERANCE:.0%} "
+        f"BENCH_fastpath.json; exit non-zero on a >{CHECK_TOLERANCE * 100:.0f}%% "
         "regression",
     )
     args = parser.parse_args(argv)

@@ -7,9 +7,17 @@ The server exposes one or more zones over MoQT (§4.1/§4.2 of the paper):
   the current answer for that question, encapsulated per Fig. 4 with the
   group ID set to the zone's version number.
 * Whenever the zone changes, the version number (the SOA serial) increases
-  and the server regenerates the answer of every subscribed track.  Tracks
-  whose answer actually changed get a new object pushed to all their
-  subscribers with the new version as the group ID.
+  and the server re-answers the subscribed tracks the change can affect:
+  those whose last lookup read the changed owner name.  Tracks whose answer
+  actually changed get a new object pushed to all their subscribers with the
+  new version as the group ID.
+
+The paper names endpoint state management as the main cost of pub/sub DNS.
+To keep a zone change O(tracks it affects) rather than O(subscribed tracks),
+the server keeps a read index: owner name -> tracks whose last lookup read
+it (:attr:`repro.dns.zone.LookupResult.reads`).  A lookup is a pure function
+of the zone content at the names it read, so a track missing from the index
+entry of the changed name keeps its answer.
 
 The same host can also run a classic :class:`repro.dns.server.AuthoritativeServer`
 next to this one to support the incremental-deployment story of §4.5; the
@@ -19,6 +27,7 @@ topology helpers in :mod:`repro.experiments` do exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.encapsulation import encapsulate_response
 from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
@@ -34,6 +43,7 @@ from repro.moqt.session import (
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
+    PublisherSubscription,
     SubscribeResult,
 )
 from repro.moqt.track import FullTrackName
@@ -46,14 +56,23 @@ from repro.quic.tls import ServerTlsContext
 MOQT_ALPN = "moq-00"
 
 
-@dataclass
+@dataclass(eq=False)
 class _TrackSubscribers:
-    """Server-side bookkeeping for one subscribed DNS track."""
+    """Server-side bookkeeping for one subscribed DNS track.
+
+    ``order`` is the track's position in first-subscribe order; ``reads`` are
+    the owner names its last lookup read, as entered in the read index.
+    """
 
     key: DnsQuestionKey
+    zone: Zone
+    order: int
     subscribers: list[tuple[MoqtSession, int]] = field(default_factory=list)
-    last_published_version: int | None = None
     last_answer_fingerprint: tuple[str, ...] | None = None
+    reads: tuple[Name, ...] = ()
+
+
+_BY_ORDER = attrgetter("order")
 
 
 @dataclass
@@ -68,6 +87,7 @@ class AuthServerStatistics:
     updates_published: int = 0
     update_bytes_published: int = 0
     zone_changes_seen: int = 0
+    tracks_reanswered: int = 0
 
 
 class MoqAuthoritativeServer:
@@ -97,6 +117,8 @@ class MoqAuthoritativeServer:
         self.statistics = AuthServerStatistics()
         self._zones: dict[Name, Zone] = {}
         self._tracks: dict[DnsQuestionKey, _TrackSubscribers] = {}
+        # Read index: owner name -> tracks whose last lookup read it.
+        self._readers: dict[Name, set[_TrackSubscribers]] = {}
         self._sessions: list[MoqtSession] = []
         self.endpoint = QuicEndpoint(
             host,
@@ -114,7 +136,11 @@ class MoqAuthoritativeServer:
 
     # -------------------------------------------------------------------- zones
     def add_zone(self, zone: Zone) -> None:
-        """Serve a zone and react to its future changes."""
+        """Serve a zone and react to its future changes.
+
+        A track keeps the zone that answered its first subscribe, so add
+        every zone before the server takes subscriptions.
+        """
         self._zones[zone.origin] = zone
         zone.subscribe_changes(self._on_zone_change)
 
@@ -153,14 +179,40 @@ class MoqAuthoritativeServer:
     def answer_question(self, key: DnsQuestionKey) -> tuple[Message, Zone] | None:
         """Build the authoritative response for a question key.
 
-        Returns ``None`` when no served zone covers the name.
+        Returns ``None`` when no served zone covers the name.  For a
+        subscribed track this refreshes the track's read-index entries.
         """
+        state = self._tracks.get(key)
+        if state is not None:
+            return self._answer_track(state), state.zone
         zone = self.zone_for(key.qname)
         if zone is None:
             return None
-        result = zone.lookup(key.qname, key.qtype)
-        response = self._result_to_message(key, result)
-        return response, zone
+        return self._result_to_message(key, zone.lookup(key.qname, key.qtype)), zone
+
+    def _answer_track(self, state: _TrackSubscribers) -> Message:
+        """Answer a track's question and re-index the names its lookup read."""
+        key = state.key
+        result = state.zone.lookup(key.qname, key.qtype)
+        if result.reads != state.reads:
+            self._reindex(state, result.reads)
+        return self._result_to_message(key, result)
+
+    def _reindex(self, state: _TrackSubscribers, reads: tuple[Name, ...]) -> None:
+        readers = self._readers
+        for name in state.reads:
+            tracks = readers.get(name)  # already gone if the name repeats
+            if tracks is not None:
+                tracks.discard(state)
+                if not tracks:
+                    del readers[name]
+        for name in reads:
+            tracks = readers.get(name)
+            if tracks is None:
+                readers[name] = {state}
+            else:
+                tracks.add(state)
+        state.reads = reads
 
     def _result_to_message(self, key: DnsQuestionKey, result: LookupResult) -> Message:
         flags = Flags(qr=True, aa=not result.is_referral, rd=key.recursion_desired,
@@ -191,12 +243,12 @@ class MoqAuthoritativeServer:
         return tuple(sorted(lines))
 
     # ------------------------------------------------------------- subscriptions
-    def _track_state(self, key: DnsQuestionKey) -> _TrackSubscribers:
-        state = self._tracks.get(key)
-        if state is None:
-            state = _TrackSubscribers(key=key)
-            self._tracks[key] = state
-        return state
+    @staticmethod
+    def _live(session: MoqtSession, request_id: int) -> PublisherSubscription | None:
+        """The downstream subscription, or ``None`` once it is closed or gone."""
+        if session.closed:
+            return None
+        return session.publisher_subscription(request_id)
 
     def handle_subscribe(self, session: MoqtSession, message: Subscribe) -> SubscribeResult:
         """Accept subscriptions for questions inside the served zones."""
@@ -207,22 +259,26 @@ class MoqAuthoritativeServer:
             return SubscribeResult(
                 ok=False, error_code=SubscribeErrorCode.TRACK_DOES_NOT_EXIST, reason=str(error)
             )
-        answer = self.answer_question(key)
-        if answer is None:
-            self.statistics.subscribes_rejected += 1
-            return SubscribeResult(
-                ok=False,
-                error_code=SubscribeErrorCode.TRACK_DOES_NOT_EXIST,
-                reason=f"not authoritative for {key.qname}",
-            )
-        response, zone = answer
-        state = self._track_state(key)
-        state.subscribers.append((session, message.request_id))
-        if state.last_answer_fingerprint is None:
+        state = self._tracks.get(key)
+        if state is None:
+            zone = self.zone_for(key.qname)
+            if zone is None:
+                self.statistics.subscribes_rejected += 1
+                return SubscribeResult(
+                    ok=False,
+                    error_code=SubscribeErrorCode.TRACK_DOES_NOT_EXIST,
+                    reason=f"not authoritative for {key.qname}",
+                )
+            state = _TrackSubscribers(key=key, zone=zone, order=len(self._tracks))
+            self._tracks[key] = state
+        response = self._answer_track(state)
+        # Zone changes skip a track without subscribers, so a drained track's
+        # fingerprint may be stale: restart it from the answer just computed.
+        if not any(self._live(session, request_id) for session, request_id in state.subscribers):
             state.last_answer_fingerprint = self._fingerprint(response)
-            state.last_published_version = zone.serial
+        state.subscribers.append((session, message.request_id))
         self.statistics.subscribes_accepted += 1
-        return SubscribeResult(ok=True, largest=Location(zone.serial, 0))
+        return SubscribeResult(ok=True, largest=Location(state.zone.serial, 0))
 
     def handle_fetch(
         self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
@@ -257,23 +313,28 @@ class MoqAuthoritativeServer:
 
     # ------------------------------------------------------------ push updates
     def _on_zone_change(self, change: ZoneChange) -> None:
-        """React to a zone mutation: push new objects for affected tracks."""
+        """React to a zone mutation: push new objects for the tracks it changed.
+
+        Only the tracks whose last lookup read ``change.name`` are re-answered;
+        every other track's answer cannot have changed.  They are re-answered
+        in first-subscribe order, never in set order, so pushes leave in the
+        same order as a rescan of every subscribed track would send them.
+        """
         self.statistics.zone_changes_seen += 1
-        for state in self._tracks.values():
+        readers = self._readers.get(change.name)
+        if not readers:
+            return
+        # sorted() copies: re-answering a track re-indexes it.
+        for state in sorted(readers, key=_BY_ORDER):
             if not state.subscribers:
                 continue
-            answer = self.answer_question(state.key)
-            if answer is None:
-                continue
-            response, zone = answer
-            if not state.key.qname.is_subdomain_of(zone.origin):
-                continue
+            self.statistics.tracks_reanswered += 1
+            response = self._answer_track(state)
             fingerprint = self._fingerprint(response)
             if fingerprint == state.last_answer_fingerprint:
                 continue
             state.last_answer_fingerprint = fingerprint
-            state.last_published_version = zone.serial
-            self._publish_update(state, response, zone.serial)
+            self._publish_update(state, response, state.zone.serial)
 
     def _publish_update(
         self, state: _TrackSubscribers, response: Message, version: int
@@ -281,9 +342,7 @@ class MoqAuthoritativeServer:
         obj = encapsulate_response(response, version)
         live: list[tuple[MoqtSession, int]] = []
         for session, request_id in state.subscribers:
-            if session.closed:
-                continue
-            publisher_subscription = session.publisher_subscription(request_id)
+            publisher_subscription = self._live(session, request_id)
             if publisher_subscription is None:
                 continue
             session.publish(publisher_subscription, obj)
@@ -301,13 +360,10 @@ class MoqAuthoritativeServer:
         state = self._tracks.get(key)
         if state is None or not state.subscribers:
             return 0
-        answer = self.answer_question(key)
-        if answer is None:
-            return 0
-        response, zone = answer
+        response = self._answer_track(state)
         state.last_answer_fingerprint = self._fingerprint(response)
         count = len(state.subscribers)
-        self._publish_update(state, response, zone.serial)
+        self._publish_update(state, response, state.zone.serial)
         return count
 
 

@@ -10,7 +10,7 @@ prescribes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.dns.name import Name
@@ -40,6 +40,10 @@ class LookupResult:
         Glue records.
     is_referral:
         True when the result delegates to a child zone.
+    reads:
+        Every owner name the lookup probed, in probe order (a name may repeat).
+        The result is a pure function of the zone content at these names, so
+        a change to any other name cannot alter it.  Not part of equality.
     """
 
     rcode: Rcode
@@ -47,6 +51,7 @@ class LookupResult:
     authorities: tuple[ResourceRecord, ...] = ()
     additionals: tuple[ResourceRecord, ...] = ()
     is_referral: bool = False
+    reads: tuple[Name, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -208,12 +213,14 @@ class Zone:
 
         Implements exact matches, CNAME chasing within the zone, wildcard
         synthesis (``*.example.com``), delegations (NS sets below the apex)
-        and negative answers with the SOA in the authority section.
+        and negative answers with the SOA in the authority section.  The
+        result lists the owner names it read in :attr:`LookupResult.reads`.
         """
         if not qname.is_subdomain_of(self.origin):
             return LookupResult(rcode=Rcode.REFUSED)
 
-        delegation = self._find_delegation(qname)
+        reads: list[Name] = []
+        delegation = self._find_delegation(qname, reads)
         if delegation is not None:
             ns_rrset, glue = delegation
             return LookupResult(
@@ -221,76 +228,89 @@ class Zone:
                 authorities=tuple(ns_rrset),
                 additionals=tuple(glue),
                 is_referral=True,
+                reads=tuple(reads),
             )
 
         answers: list[ResourceRecord] = []
         current = qname
         for _ in range(16):  # CNAME chain bound
+            reads.append(current)
             rrset = self._rrsets.get((current, qtype))
             if rrset is not None and len(rrset) > 0:
                 answers.extend(rrset)
-                return LookupResult(rcode=Rcode.NOERROR, answers=tuple(answers))
+                return LookupResult(
+                    rcode=Rcode.NOERROR, answers=tuple(answers), reads=tuple(reads)
+                )
             cname = self._rrsets.get((current, RecordType.CNAME))
             if cname is not None and qtype != RecordType.CNAME and len(cname) > 0:
                 answers.extend(cname)
                 target = cname.records[0].rdata
                 current = target.target  # type: ignore[attr-defined]
                 if not current.is_subdomain_of(self.origin):
-                    return LookupResult(rcode=Rcode.NOERROR, answers=tuple(answers))
+                    return LookupResult(
+                        rcode=Rcode.NOERROR, answers=tuple(answers), reads=tuple(reads)
+                    )
                 continue
             break
 
-        wildcard = self._find_wildcard(qname, qtype)
+        wildcard = self._find_wildcard(qname, qtype, reads)
         if wildcard is not None:
             synthesized = [
                 ResourceRecord(qname, record.rdtype, record.rdata, record.ttl, record.rdclass)
                 for record in wildcard
             ]
             answers.extend(synthesized)
-            return LookupResult(rcode=Rcode.NOERROR, answers=tuple(answers))
+            return LookupResult(rcode=Rcode.NOERROR, answers=tuple(answers), reads=tuple(reads))
 
+        reads.append(self.origin)
         soa_record = self._rrsets[(self.origin, RecordType.SOA)].records[0]
+        # _name_exists reads qname, already in reads from the chain's first step.
         if self._name_exists(qname) or answers:
             # Name exists (or we followed a CNAME) but no data of this type.
             return LookupResult(
-                rcode=Rcode.NOERROR, answers=tuple(answers), authorities=(soa_record,)
+                rcode=Rcode.NOERROR,
+                answers=tuple(answers),
+                authorities=(soa_record,),
+                reads=tuple(reads),
             )
-        return LookupResult(rcode=Rcode.NXDOMAIN, authorities=(soa_record,))
+        return LookupResult(rcode=Rcode.NXDOMAIN, authorities=(soa_record,), reads=tuple(reads))
 
     def _name_exists(self, qname: Name) -> bool:
         return any(owner == qname for owner, _ in self._rrsets)
 
-    def _find_wildcard(self, qname: Name, qtype: RecordType) -> RRset | None:
+    def _find_wildcard(self, qname: Name, qtype: RecordType, reads: list[Name]) -> RRset | None:
         ancestor = qname
         while not ancestor.is_root and ancestor != self.origin:
             ancestor = ancestor.parent()
             wildcard = ancestor.child("*")
+            reads.append(wildcard)
             rrset = self._rrsets.get((wildcard, qtype))
             if rrset is not None:
                 return rrset
         return None
 
-    def _find_delegation(self, qname: Name) -> tuple[RRset, list[ResourceRecord]] | None:
-        """Find the closest enclosing delegation strictly below the apex."""
-        candidates = [name for name in qname.ancestors() if name.is_subdomain_of(self.origin)]
-        for candidate in candidates:
+    def _find_delegation(
+        self, qname: Name, reads: list[Name]
+    ) -> tuple[RRset, list[ResourceRecord]] | None:
+        """Find the closest enclosing delegation strictly below the apex.
+
+        A query exactly at the delegation point is a referral too: the zone
+        is not authoritative for the child.
+        """
+        for candidate in qname.ancestors():
             if candidate == self.origin:
-                continue
+                return None
+            reads.append(candidate)
             ns_rrset = self._rrsets.get((candidate, RecordType.NS))
-            if ns_rrset is not None and candidate != qname:
-                glue = self._glue_for(ns_rrset)
-                return ns_rrset, glue
-            if ns_rrset is not None and candidate == qname:
-                # Query exactly at the delegation point is also a referral
-                # unless we are authoritative for the child.
-                glue = self._glue_for(ns_rrset)
-                return ns_rrset, glue
+            if ns_rrset is not None:
+                return ns_rrset, self._glue_for(ns_rrset, reads)
         return None
 
-    def _glue_for(self, ns_rrset: RRset) -> list[ResourceRecord]:
+    def _glue_for(self, ns_rrset: RRset, reads: list[Name]) -> list[ResourceRecord]:
         glue: list[ResourceRecord] = []
         for ns_record in ns_rrset:
             target = ns_record.rdata.target  # type: ignore[attr-defined]
+            reads.append(target)
             for rdtype in (RecordType.A, RecordType.AAAA):
                 address_rrset = self._rrsets.get((target, rdtype))
                 if address_rrset is not None:

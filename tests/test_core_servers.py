@@ -114,6 +114,32 @@ class TestMoqAuthoritativeServer:
         assert pushed, "creating the record must push an update to the subscriber"
         assert decapsulate_response(pushed[-1]).rcode == Rcode.NOERROR
 
+    def test_resubscribe_after_drain_gets_later_change_back(self):
+        # S1 leaves; the track is pruned at the next push, then changes while
+        # nobody is subscribed.  S2's subscribe must restart the track from
+        # the answer S2 fetched, or flipping back to the pruned-at value is
+        # never pushed and S2 stays on the newer address forever.
+        from repro.core.encapsulation import decapsulate_response
+
+        topology = SmallTopology()
+        first, first_subscription, _, _ = _subscribe_directly(topology, _key())
+        topology.run(5.0)
+        first.unsubscribe(first_subscription)
+        topology.run(2.0)
+        topology.update_record("203.0.113.1")
+        topology.run(2.0)
+        topology.update_record("203.0.113.2")
+        topology.run(2.0)
+        _, _, pushed, events = _subscribe_directly(topology, _key())
+        topology.run(5.0)
+        fetch = [payload for kind, payload in events if kind == "fetch"][0]
+        fetched = decapsulate_response(fetch.objects[-1])
+        assert fetched.answers[0].rdata.to_text() == "203.0.113.2"
+        serial = topology.update_record("203.0.113.1")
+        topology.run(2.0)
+        assert [obj.group_id for obj in pushed] == [serial]
+        assert decapsulate_response(pushed[0]).answers[0].rdata.to_text() == "203.0.113.1"
+
     def test_force_publish_counts_subscribers(self):
         topology = SmallTopology()
         _subscribe_directly(topology, _key())
