@@ -30,16 +30,17 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.core.encapsulation import encapsulate_response
-from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
+from repro.core.mapping import DnsQuestionKey, track_to_question
 from repro.core.errors import MappingError
 from repro.dns.message import Flags, Header, Message, Question
 from repro.dns.name import Name
-from repro.dns.types import MOQT_PORT, Opcode, Rcode, RecordType
+from repro.dns.types import MOQT_PORT, RecordType
 from repro.dns.zone import LookupResult, Zone, ZoneChange
 from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, Subscribe
-from repro.moqt.objectmodel import Location, MoqtObject
+from repro.moqt.objectmodel import Location
 from repro.moqt.session import (
+    MOQT_ALPN,
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
@@ -52,8 +53,6 @@ from repro.netsim.packet import Address
 from repro.quic.connection import QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
-
-MOQT_ALPN = "moq-00"
 
 
 @dataclass(eq=False)

@@ -48,14 +48,15 @@ from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_quest
 from repro.core.errors import MappingError
 from repro.core.session_manager import SessionManagerConfig, UpstreamSessionManager
 from repro.core.subscription import SubscriptionRegistry, TeardownPolicy
-from repro.dns.message import Flags, Header, Message, make_response
+from repro.dns.message import Message, make_response
 from repro.dns.name import Name
 from repro.dns.transport import DnsUdpEndpoint
-from repro.dns.types import DNS_UDP_PORT, MOQT_PORT, Opcode, Rcode, RecordType
+from repro.dns.types import DNS_UDP_PORT, MOQT_PORT, Rcode, RecordType
 from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import (
+    MOQT_ALPN,
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
@@ -69,7 +70,6 @@ from repro.quic.connection import QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
-MOQT_ALPN = "moq-00"
 MAX_RESOLUTION_STEPS = 12
 
 

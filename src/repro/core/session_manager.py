@@ -17,16 +17,13 @@ SERVER_SETUP (§5.2, third optimisation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
-from repro.moqt.session import MoqtSession, MoqtSessionConfig
+from repro.moqt.session import MOQT_ALPN, MoqtSession, MoqtSessionConfig
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
-from repro.quic.connection import ConnectionConfig, QuicConnection
+from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
-
-MOQT_ALPN = "moq-00"
 
 
 @dataclass

@@ -18,6 +18,18 @@ drivers; ``EXPERIMENTS.md`` records paper-vs-measured for each.
 | E9 | §5.1 state overhead | :mod:`repro.experiments.state_overhead` |
 | E10 | §4.5 compatibility | :mod:`repro.experiments.compatibility` |
 | E11 | §3/§5.3 relay fan-out | :mod:`repro.experiments.relay_fanout` |
+| E12 | §3/§5.3 relay churn | :mod:`repro.experiments.relay_churn` |
+| E13 | §3/§5.3 in-band failure detection | :mod:`repro.experiments.failure_detection` |
+| E14 | §3/§5.3 origin failover | :mod:`repro.experiments.origin_failover` |
+| E15 | §3/§5.3 constrained tiers | :mod:`repro.experiments.constrained_tiers` |
+| E16 | §3 flash-crowd admission | :mod:`repro.experiments.flash_crowd` |
+
+The relay experiments E11–E16 share one run kernel,
+:mod:`repro.experiments.tree_run`: it builds, pushes and tallies, and each
+driver keeps only its fault schedule, its closed-form comparison and its
+result rows.  Each E11–E16 result exposes ``gates()``, a map from the name
+of every pass/fail condition to whether it held; the tests and the perf
+harness read that map.
 """
 
 from repro.experiments.topology import SmallTopology, SmallTopologyConfig

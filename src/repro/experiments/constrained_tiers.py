@@ -29,21 +29,17 @@ population (100k subscribers) for the perf harness.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from repro.analysis.constrained import ConstrainedPathModel, HopSpec, knee_index
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
-from repro.moqt.relay import MOQT_ALPN
+from repro.experiments.relay_fanout import calibrate_bytes_per_update
+from repro.experiments.tree_run import UPDATE_INTERVAL, TreeRun
+from repro.moqt.session import MOQT_ALPN
 from repro.netsim.link import LinkConfig
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
 from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig
-from repro.relaynet import RelayNetStats, RelayTreeBuilder, RelayTreeSpec
-from repro.experiments.relay_fanout import UPDATE_INTERVAL, _update_payload
+from repro.relaynet import RelayTreeSpec
 
 #: Per-tier propagation delays — identical to the unconstrained E11 CDN
 #: defaults, so the only variable the sweep moves is bandwidth.
@@ -112,93 +108,6 @@ def _lossy_subscriber() -> ConnectionConfig:
     )
 
 
-@dataclass
-class ConstrainedRun:
-    """Everything one constrained tree run measured."""
-
-    #: Update-window statistics delta (setup traffic excluded).
-    delta: RelayNetStats
-    #: Simulator time each update was pushed at, in push order.
-    push_times: list[float]
-    #: Per update (same order), every subscriber delivery's absolute time.
-    delivery_times: list[list[float]]
-    #: Objects delivered to subscriber callbacks during the window.
-    delivered: int
-    #: Fan-out waves degraded to per-datagram transmission (must be 0).
-    link_batch_fallback_waves: int
-    #: Total simulator events scheduled over the whole run.
-    events_scheduled: int
-
-
-def _run_constrained_tree(
-    spec: RelayTreeSpec,
-    subscribers: int,
-    updates: int,
-    payload_size: int,
-    seed: int,
-    downstream_connection: ConnectionConfig | None = None,
-    subscriber_connection: ConnectionConfig | None = None,
-    drain: float = 3.0,
-) -> ConstrainedRun:
-    """Build the constrained tree, push updates, record delivery instants.
-
-    Mirrors E11's ``_run_tree`` but keeps absolute per-delivery timestamps
-    (the closed-form check compares them bit-exactly) and the network's
-    fallback-wave counter.  Always dense: counted aggregate leaves are a
-    statistics construct for ideal links and are rejected on constrained
-    ones (``Link.extra_bytes``).
-    """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
-    publisher = build_origin(network)
-    tree = RelayTreeBuilder(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        subscriber_connection=subscriber_connection,
-        downstream_connection=downstream_connection,
-    ).build(spec)
-    tree.attach_subscribers(subscribers)
-    delivered = [0]
-    push_times: list[float] = []
-    delivery_times: list[list[float]] = []
-    group_slot: dict[int, int] = {}
-
-    def on_object(subscriber, obj) -> None:
-        delivered[0] += subscriber.multiplicity
-        slot = group_slot.get(obj.group_id)
-        if slot is not None:
-            delivery_times[slot].append(simulator.now)
-
-    tree.subscribe_all(TRACK, on_object=on_object)
-    simulator.run(until=simulator.now + 3.0)
-
-    before = RelayNetStats.collect(tree)
-    delivered_before = delivered[0]
-    for update in range(updates):
-        group_id = update + 2
-        group_slot[group_id] = len(push_times)
-        push_times.append(simulator.now)
-        delivery_times.append([])
-        publisher.push(
-            MoqtObject(
-                group_id=group_id,
-                object_id=0,
-                payload=_update_payload(group_id, payload_size),
-            )
-        )
-        simulator.run(until=simulator.now + UPDATE_INTERVAL)
-    simulator.run(until=simulator.now + drain)
-    delta = RelayNetStats.collect(tree).delta(before)
-    return ConstrainedRun(
-        delta=delta,
-        push_times=push_times,
-        delivery_times=delivery_times,
-        delivered=delivered[0] - delivered_before,
-        link_batch_fallback_waves=network.link_batch_fallback_waves,
-        events_scheduled=simulator.events_scheduled,
-    )
-
-
 def calibrate_wire_bytes(payload_size: int, updates: int = 4, seed: int = 17) -> int:
     """Exact on-the-wire bytes of one pushed update (one datagram per hop).
 
@@ -207,8 +116,6 @@ def calibrate_wire_bytes(payload_size: int, updates: int = 4, seed: int = 17) ->
     needs — a non-integral result would mean the framing is not constant
     per update, which would invalidate the closed form, so it raises.
     """
-    from repro.experiments.relay_fanout import calibrate_bytes_per_update
-
     value = calibrate_bytes_per_update(payload_size, updates=updates, seed=seed)
     if not float(value).is_integer():
         raise RuntimeError(f"per-update wire size is not constant: {value}")
@@ -262,11 +169,10 @@ class ConstrainedTierSample:
 
 
 @dataclass
-class ConstrainedLossSample:
-    """The lossy-edge run: NewReno on the fan-out side, loss on access links."""
+class ConstrainedMacroResult:
+    """One lossy constrained run: NewReno on every relay's downstream side,
+    independent loss on the access links, always dense."""
 
-    bandwidth: float
-    access_loss: float
     subscribers: int
     updates: int
     delivered: int
@@ -281,8 +187,25 @@ class ConstrainedLossSample:
 
     @property
     def repaired(self) -> bool:
-        """Whether every update reached every subscriber despite the loss."""
+        """Whether loss repair delivered every update to every subscriber."""
         return self.delivered == self.expected
+
+    def gates(self) -> dict[str, bool]:
+        """Every pass/fail condition of the run, by name."""
+        return {
+            "repaired_ok": self.repaired,
+            "zero_fallback_waves_ok": self.link_batch_fallback_waves == 0,
+            "retransmissions_seen_ok": self.retransmissions > 0,
+            "congestion_events_seen_ok": self.congestion_events > 0,
+        }
+
+
+@dataclass
+class ConstrainedLossSample(ConstrainedMacroResult):
+    """The E15 lossy-edge sample: one lossy run at one sweep point."""
+
+    bandwidth: float
+    access_loss: float
 
     def as_row(self) -> dict[str, object]:
         return {
@@ -344,6 +267,16 @@ class ConstrainedTiersResult:
         """Per-sweep-point table rows."""
         return [sample.as_row() for sample in self.samples]
 
+    def gates(self) -> dict[str, bool]:
+        """Every pass/fail condition of the experiment, by name."""
+        return {
+            "all_model_exact_ok": self.all_model_exact,
+            "knee_matches_model_ok": self.knee_matches_model,
+            "zero_fallback_waves_ok": self.total_fallback_waves == 0,
+            "loss_repaired_ok": self.loss_sample.repaired,
+            "congestion_events_seen_ok": self.loss_sample.congestion_events > 0,
+        }
+
     def summary_row(self) -> dict[str, object]:
         return {
             "wire_bytes": self.wire_bytes,
@@ -392,19 +325,20 @@ def run_constrained_tiers(
                 f"bandwidth {bandwidth} backlogs the FIFO at the push "
                 f"interval {UPDATE_INTERVAL}; the closed form would not apply"
             )
-        run = _run_constrained_tree(
+        run = TreeRun(
             _constrained_spec(bandwidth, mid_relays=mid_relays, edge_per_mid=edge_per_mid),
             subscribers,
-            updates,
-            payload_size,
             seed,
+            payload_size=payload_size,
+            timestamps=True,
         )
+        window = run.measure(updates)
         exact = True
         latency_total = 0.0
         latency_count = 0
-        for push_time, deliveries in zip(run.push_times, run.delivery_times):
+        for group_id, push_time in enumerate(run.push_times, start=2):
             predicted = model.delivery_time(push_time)
-            for delivered_at in deliveries:
+            for delivered_at in run.delivery_times.get(group_id, ()):
                 if delivered_at != predicted:
                     exact = False
                 latency_total += delivered_at - push_time
@@ -417,61 +351,28 @@ def run_constrained_tiers(
                 model=model,
                 measured_latency=latency_total / latency_count if latency_count else 0.0,
                 model_exact=exact and latency_count == subscribers * updates,
-                delivered=run.delivered,
-                link_batch_fallback_waves=run.link_batch_fallback_waves,
-                events_scheduled=run.events_scheduled,
+                delivered=window.delivered,
+                link_batch_fallback_waves=run.network.link_batch_fallback_waves,
+                events_scheduled=run.simulator.events_scheduled,
             )
         )
     loss_bandwidth = bandwidths[len(bandwidths) // 2]
-    loss_run = _run_constrained_tree(
-        _constrained_spec(
-            loss_bandwidth,
-            access_loss=access_loss,
-            mid_relays=mid_relays,
-            edge_per_mid=edge_per_mid,
-        ),
-        subscribers,
-        updates,
-        payload_size,
-        seed,
-        downstream_connection=_newreno_downstream(),
-        subscriber_connection=_lossy_subscriber(),
-        drain=6.0,
-    )
-    loss_sample = ConstrainedLossSample(
-        bandwidth=loss_bandwidth,
-        access_loss=access_loss,
+    loss_run = run_constrained_macro(
         subscribers=subscribers,
         updates=updates,
-        delivered=loss_run.delivered,
-        expected=subscribers * updates,
-        retransmissions=loss_run.delta.downstream_retransmissions,
-        congestion_events=loss_run.delta.congestion_events,
-        link_batch_fallback_waves=loss_run.link_batch_fallback_waves,
-        events_scheduled=loss_run.events_scheduled,
+        mid_relays=mid_relays,
+        edge_per_mid=edge_per_mid,
+        payload_size=payload_size,
+        seed=seed,
+        bandwidth=loss_bandwidth,
+        access_loss=access_loss,
+    )
+    loss_sample = ConstrainedLossSample(
+        bandwidth=loss_bandwidth, access_loss=access_loss, **dataclasses.asdict(loss_run)
     )
     return ConstrainedTiersResult(
         samples=samples, loss_sample=loss_sample, wire_bytes=wire_bytes
     )
-
-
-@dataclass
-class ConstrainedMacroResult:
-    """The lossy constrained regime at E11 macro scale (dense subscribers)."""
-
-    subscribers: int
-    updates: int
-    delivered: int
-    expected: int
-    retransmissions: int
-    congestion_events: int
-    link_batch_fallback_waves: int
-    events_scheduled: int
-
-    @property
-    def repaired(self) -> bool:
-        """Whether loss repair delivered every update to every subscriber."""
-        return self.delivered == self.expected
 
 
 def run_constrained_macro(
@@ -486,14 +387,17 @@ def run_constrained_macro(
 ) -> ConstrainedMacroResult:
     """E11's macro population on constrained, lossy tiers.
 
-    Dense subscribers (aggregate leaves are an ideal-link construct), finite
+    Dense subscribers (counted aggregate leaves are an ideal-link construct
+    and are rejected on constrained links, ``Link.extra_bytes``), finite
     bandwidth on every tier, independent loss on the access links and
-    NewReno on every relay's downstream side.  The point is scale: with the
+    NewReno on every relay's downstream side, drained long enough for loss
+    repair.  :func:`run_constrained_tiers` runs the same regime at its sweep
+    scale as its lossy-edge sample.  The point here is scale: with the
     batch path bandwidth- and loss-aware this completes inside the perf
     smoke budget with the fallback-wave counter at zero — the regime the
     old silent fallback made unrunnable.
     """
-    run = _run_constrained_tree(
+    run = TreeRun(
         _constrained_spec(
             bandwidth,
             access_loss=access_loss,
@@ -501,20 +405,19 @@ def run_constrained_macro(
             edge_per_mid=edge_per_mid,
         ),
         subscribers,
-        updates,
-        payload_size,
         seed,
+        payload_size=payload_size,
         downstream_connection=_newreno_downstream(),
         subscriber_connection=_lossy_subscriber(),
-        drain=6.0,
     )
+    window = run.measure(updates, drain=6.0)
     return ConstrainedMacroResult(
         subscribers=subscribers,
         updates=updates,
-        delivered=run.delivered,
+        delivered=window.delivered,
         expected=subscribers * updates,
-        retransmissions=run.delta.downstream_retransmissions,
-        congestion_events=run.delta.congestion_events,
-        link_batch_fallback_waves=run.link_batch_fallback_waves,
-        events_scheduled=run.events_scheduled,
+        retransmissions=window.delta.downstream_retransmissions,
+        congestion_events=window.delta.congestion_events,
+        link_batch_fallback_waves=run.network.link_batch_fallback_waves,
+        events_scheduled=run.simulator.events_scheduled,
     )

@@ -41,32 +41,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.churn import RecoveryModel, recovery_model
+from repro.analysis.churn import RecoveryModel
 from repro.analysis.detection import DetectionModel
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-    build_origin,
+from repro.experiments.tree_run import (
+    MODEL_TOLERANCE,
+    TreeRun,
+    detection_models,
+    reattach_on_floor,
+    recovery_models,
 )
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.relay import MOQT_ALPN
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
+from repro.moqt.session import MOQT_ALPN
 from repro.quic.connection import ConnectionConfig
-from repro.relaynet import FailoverEvent, OriginCluster, RelayTreeSpec
-from repro.relaynet.topology import RelayNode, RelayTopology
+from repro.relaynet import FailoverEvent, RelayTreeSpec
+from repro.relaynet.topology import RelayNode
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
-
-#: Floating-point slack when comparing simulator timestamps against the
-#: closed-form model (the simulator and the model associate the same sums
-#: differently).
-MODEL_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -104,16 +92,7 @@ class DetectionSample:
     @property
     def reattach_model_ok(self) -> bool:
         """Whether every orphan re-attached on the 3-RTT floor."""
-        for tier, latencies in self.latencies_by_tier.items():
-            model = self.reattach_model_by_tier.get(tier)
-            if model is None:
-                return False
-            if any(
-                abs(latency - model.reattach_latency) > MODEL_TOLERANCE
-                for latency in latencies
-            ):
-                return False
-        return True
+        return reattach_on_floor(self.latencies_by_tier, self.reattach_model_by_tier)
 
     def rows(self) -> list[dict[str, object]]:
         """One row per orphan tier: detection + re-attach, measured vs model."""
@@ -185,6 +164,20 @@ class FailureDetectionResult:
         """Per-crash, per-orphan-tier summary rows."""
         return [row for sample in self.samples for row in sample.rows()]
 
+    def gates(self) -> dict[str, bool]:
+        """Every pass/fail condition of the experiment, by name."""
+        return {
+            "gapless_ok": self.gapless,
+            # Both silent crashes (mid tier, then edge) were detected and
+            # every orphan re-attached.
+            "failover_complete_ok": len(self.samples) == 2
+            and all(sample.complete for sample in self.samples),
+            "detection_model_ok": self.detection_model_ok,
+            "reattach_model_ok": self.reattach_model_ok,
+            "zero_control_plane_kills_ok": self.control_plane_kills == 0,
+            "zero_false_positives_ok": self.false_positive_events == 0,
+        }
+
     def summary_row(self) -> dict[str, object]:
         """Headline row for reports."""
         return {
@@ -203,78 +196,14 @@ class FailureDetectionResult:
         }
 
 
-def detection_model_for_connection(connection, crashed_at: float) -> DetectionModel:
-    """Snapshot a live connection's detector inputs at crash time.
-
-    The bridge between the implementation-independent closed forms in
-    :mod:`repro.analysis.detection` and a running
-    :class:`~repro.quic.connection.QuicConnection`: the transport's timer
-    deadlines, probe timeout and liveness constants become the model's
-    inputs (a test pins the analysis-side default constants to the
-    transport's, so drift between model and implementation stays visible).
-    """
-    idle_deadline = connection.idle_deadline
-    if idle_deadline is None:
-        raise ValueError("connection is closed; nothing left to detect with")
-    return DetectionModel(
-        crashed_at=crashed_at,
-        probe_timeout=connection.probe_timeout,
-        next_send_at=connection.keepalive_deadline,
-        idle_deadline=idle_deadline,
-        suspect_after=connection.LIVENESS_SUSPECT_AFTER,
-        backoff_cap=connection.PTO_BACKOFF_EXPONENT_CAP,
-        idle_timeout=connection.config.idle_timeout,
-    )
-
-
-def _snapshot_models(
-    connections, now: float
-) -> list[DetectionModel]:
-    """Model the in-band detector of each orphan connection at crash time.
-
-    The closed forms assume a quiescent connection (nothing already
-    unacknowledged when the peer dies); the experiment schedules its
-    crashes between update bursts so that holds, and fails loudly if not.
-    Orphans without a transport (lazy relays that never subscribed — too
-    few subscribers for the tree) have nothing to detect with and are
-    skipped; at least one observable orphan is required.
-    """
-    models = []
-    for connection in connections:
-        if connection is None:
-            continue
-        if connection.unacked_packets:
-            raise RuntimeError(
-                "crash scheduled while data was in flight; the closed-form "
-                "detection model does not apply"
-            )
-        models.append(detection_model_for_connection(connection, now))
-    if not models:
-        raise ValueError(
-            "no orphan holds a live uplink/session to the crash victim — "
-            "the tree is too sparse for in-band detection (attach more "
-            "subscribers so every edge relay subscribes upstream)"
-        )
-    return models
-
-
 def _sample(
     event: FailoverEvent,
     crashed_at: float,
     models: list[DetectionModel],
-    spec: RelayTreeSpec,
-    alpn_version_negotiation: bool,
+    reattach_models: dict[str, RecoveryModel],
 ) -> DetectionSample:
     """Pair one detected failover with the predictions made at crash time."""
     best = min(models, key=lambda model: model.detected_at)
-    reattach_model_by_tier: dict[str, RecoveryModel] = {}
-    for tier_spec in spec.tiers:
-        reattach_model_by_tier[tier_spec.name] = recovery_model(
-            tier_spec.uplink.delay, alpn_version_negotiation
-        )
-    reattach_model_by_tier["subscribers"] = recovery_model(
-        spec.subscriber_link.delay, alpn_version_negotiation
-    )
     return DetectionSample(
         killed=event.node,
         killed_tier=event.tier,
@@ -286,7 +215,7 @@ def _sample(
         orphan_relays=len(event.orphans("relay")),
         orphan_subscribers=len(event.orphans("subscriber")),
         latencies_by_tier=event.latencies_by_tier(),
-        reattach_model_by_tier=reattach_model_by_tier,
+        reattach_model_by_tier=reattach_models,
         complete=event.complete,
     )
 
@@ -327,155 +256,73 @@ def run_failure_detection(
     fires at the same instant and the dissolved members re-attach exactly
     as the dense orphans do.
     """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
-    spec = RelayTreeSpec.cdn(
-        mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
-    )
-    origin_cluster = None
-    if spec.origins > 1:
-        origin_cluster = OriginCluster(
-            network, origins=spec.origins, standby_link=spec.tiers[0].uplink
-        )
-        publisher = origin_cluster.publisher
-    else:
-        publisher = build_origin(network)
-    topology = RelayTopology(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
+    spec = RelayTreeSpec.cdn(mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins)
+    run = TreeRun(
         spec,
+        subscribers,
+        seed,
+        # Warm-up must stay shorter than the subscribers' idle timeout:
+        # in-band detection cannot tell a dead leaf from a silent one.
+        settle=min(1.0, 0.6 * subscriber_idle_timeout),
+        payload_size=payload_size,
+        telemetry=telemetry,
+        aggregate_leaves=aggregate_leaves,
         uplink_connection=ConnectionConfig(
             alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
         ),
         subscriber_connection=ConnectionConfig(
             alpn_protocols=(MOQT_ALPN,), idle_timeout=subscriber_idle_timeout
         ),
-        origin_cluster=origin_cluster,
-        aggregate_leaves=aggregate_leaves,
+        sequences=True,
     )
-    topology.attach_subscribers(subscribers)
-    received: dict[int, list[int]] = {sub.index: [] for sub in topology.subscribers}
-    if aggregate_leaves:
-        topology.on_subscriber_split = lambda member, rep: received.__setitem__(
-            member.index, list(received[rep.index])
-        )
-    topology.subscribe_all(
-        TRACK, on_object=lambda sub, obj: received[sub.index].append(obj.group_id)
-    )
-    # Warm-up must stay shorter than the subscribers' idle timeout: in-band
-    # detection cannot tell a dead leaf from a silent one.
-    simulator.run(until=simulator.now + min(1.0, 0.6 * subscriber_idle_timeout))
-
-    next_group = 2
-
-    def push(count: int) -> None:
-        nonlocal next_group
-        for _ in range(count):
-            obj = MoqtObject(
-                group_id=next_group,
-                object_id=0,
-                payload=_update_payload(next_group, payload_size),
-            )
-            if origin_cluster is not None:
-                origin_cluster.push(obj)
-            else:
-                publisher.push(obj)
-            next_group += 1
-            simulator.run(until=simulator.now + UPDATE_INTERVAL)
-
+    topology = run.topology
     crashes: list[tuple[float, list[DetectionModel], RelayNode]] = []
 
-    push(updates_before)
+    def crash(victim: RelayNode, orphan_connections) -> None:
+        now = run.simulator.now
+        crashes.append((now, detection_models(orphan_connections, now), victim))
+        topology.crash_relay(victim)
+
+    run.push(updates_before)
     # Silently crash a mid-tier relay: its edge children hold keepalive'd
     # uplinks, so the next PING's consecutive probe timeouts are the signal.
     mid_victims = [node for node in topology.tier("mid") if node.alive]
     victim = mid_victims[len(mid_victims) // 2]
-    models = _snapshot_models(
-        [
-            child.relay.upstream_quic_connection
-            for child in topology.children(victim)
-        ],
-        simulator.now,
-    )
-    crashes.append((simulator.now, models, victim))
-    topology.crash_relay(victim)
-    push(updates_between)
-
+    crash(victim, [child.relay.upstream_quic_connection for child in topology.children(victim)])
+    run.push(updates_between)
     # Silently crash an edge relay: its subscribers never send, so their
     # (shortened) idle timeout is the only signal they get.
-    edge_victims = [node for node in topology.tier("edge") if node.alive]
-    victim = edge_victims[0]
-    models = _snapshot_models(
-        [
-            sub.session.connection
-            for sub in topology.subscribers
-            if sub.leaf is victim
-        ],
-        simulator.now,
-    )
-    crashes.append((simulator.now, models, victim))
-    topology.crash_relay(victim)
-    push(updates_after)
+    victim = [node for node in topology.tier("edge") if node.alive][0]
+    crash(victim, [sub.session.connection for sub in topology.subscribers if sub.leaf is victim])
+    run.push(updates_after)
     # Bounded drain: long enough for the idle-path detection plus recovery,
     # short enough that healthy-but-quiet subscriber sessions do not idle
     # out and trigger false failovers (the inherent ambiguity of in-band
     # detection; deployments keep subscriber links chatty or accept
     # reconnect churn).
-    simulator.run(until=simulator.now + 0.5 * subscriber_idle_timeout)
+    run.advance(0.5 * subscriber_idle_timeout)
 
-    if aggregate_leaves:
-        from repro.relaynet import expand_member_sequences
-
-        received = expand_member_sequences(topology, received)
-    updates = updates_before + updates_between + updates_after
-    expected_sequence = list(range(2, updates + 2))
-    gapless = sum(1 for groups in received.values() if groups == expected_sequence)
-    delivered = sum(len(groups) for groups in received.values())
-
-    alpn = topology.session_config.alpn_version_negotiation
-    crashed_names = {node.host.address for _, _, node in crashes}
-    false_positives = sum(
-        1 for event in topology.events if event.node not in crashed_names
-    )
-    # Measured, not asserted: any failover that ran through the announced
-    # control-plane paths (kill/leave) would show up here and fail the gate.
-    control_plane_kills = sum(
-        1 for event in topology.events if event.cause in ("kill", "leave")
-    )
-    samples = []
-    for (crashed_at, models, node) in crashes:
-        if node.failure_event is not None:
-            samples.append(
-                _sample(node.failure_event, crashed_at, models, spec, alpn)
-            )
-    nodes = topology.nodes()
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, topology, origin_cluster=origin_cluster)
+    tally = run.tally(crashed={node.host.address for _, _, node in crashes})
+    reattach_models = recovery_models(spec, topology.session_config.alpn_version_negotiation)
     return FailureDetectionResult(
         subscribers=subscribers,
-        updates=updates,
-        samples=samples,
-        gapless_subscribers=gapless,
-        delivered_objects=delivered,
-        expected_objects=subscribers * updates,
-        relay_duplicates_dropped=sum(
-            node.relay.statistics.duplicate_objects_dropped for node in nodes
-        ),
-        subscriber_duplicates_dropped=sum(
-            sub.duplicates_dropped * sub.multiplicity for sub in topology.subscribers
-        ),
-        recovery_fetches=sum(node.relay.statistics.recovery_fetches for node in nodes),
-        recovered_objects=sum(node.relay.statistics.recovered_objects for node in nodes),
-        subscriber_gap_fetches=sum(
-            sub.gap_fetches * sub.multiplicity for sub in topology.subscribers
-        ),
-        uplink_failures_detected=sum(
-            node.relay.statistics.uplink_failures_detected for node in nodes
-        ),
-        false_positive_events=false_positives,
-        control_plane_kills=control_plane_kills,
-        delivery_sequences=received,
+        updates=tally.updates,
+        samples=[
+            _sample(node.failure_event, crashed_at, models, reattach_models)
+            for crashed_at, models, node in crashes
+            if node.failure_event is not None
+        ],
+        gapless_subscribers=tally.gapless,
+        delivered_objects=tally.delivered,
+        expected_objects=tally.expected,
+        relay_duplicates_dropped=tally.relay_duplicates,
+        subscriber_duplicates_dropped=tally.subscriber_duplicates,
+        recovery_fetches=tally.recovery_fetches,
+        recovered_objects=tally.recovered_objects,
+        subscriber_gap_fetches=tally.subscriber_gap_fetches,
+        uplink_failures_detected=tally.uplink_failures_detected,
+        false_positive_events=tally.false_positives,
+        control_plane_kills=tally.control_plane_kills,
+        delivery_sequences=tally.sequences,
         events=list(topology.events),
     )

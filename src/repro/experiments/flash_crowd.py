@@ -37,47 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.admission import AdmissionModel, percentile
-from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
-from repro.moqt.track import FullTrackName
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
-from repro.relaynet import (
-    AdmissionPolicy,
-    RelayTree,
-    RelayTreeBuilder,
-    RelayTreeSpec,
-    RetryPolicy,
-)
+from repro.experiments.tree_run import TreeRun
+from repro.moqt.origin import TRACK
+from repro.relaynet import AdmissionPolicy, RelayTreeSpec, RetryPolicy
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
-#: Virtual seconds given to tree setup / pre-warm before a storm fires.
-SETTLE = 3.0
 #: Virtual seconds the simulator runs after the last join to drain retries.
 DRAIN = 10.0
-
-
-def _build_tree(
-    seed: int,
-    relays: int,
-    admission: AdmissionPolicy | None,
-    prewarm: int,
-    track: FullTrackName,
-) -> tuple[Simulator, RelayTree]:
-    """One star tree below the origin, optionally pre-warmed and settled."""
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
-    build_origin(network)
-    tree = RelayTreeBuilder(
-        network, Address(ORIGIN_HOST, ORIGIN_PORT), admission=admission
-    ).build(RelayTreeSpec.star(relays=relays))
-    if prewarm:
-        tree.attach_subscribers(prewarm)
-        tree.subscribe_all(track)
-    simulator.run(until=simulator.now + SETTLE)
-    return simulator, tree
 
 
 # --------------------------------------------------------------------- baseline
@@ -103,10 +69,10 @@ class BaselineSample:
 
 
 def _run_baseline(stormers: int, window: float, seed: int) -> BaselineSample:
-    simulator, tree = _build_tree(seed, relays=1, admission=None, prewarm=0, track=TRACK)
-    storm = tree.flash_crowd(stormers, window, TRACK)
-    simulator.run(until=simulator.now + DRAIN)
-    relay = tree.leaves()[0].relay
+    run = TreeRun(RelayTreeSpec.star(relays=1), 0, seed)
+    storm = run.topology.flash_crowd(stormers, window, TRACK)
+    run.advance(DRAIN)
+    relay = run.topology.leaves()[0].relay
     return BaselineSample(
         stormers=stormers,
         admitted=storm.admitted,
@@ -159,24 +125,25 @@ def _run_throttled(
     # Pre-warm one subscriber so the storm's track is live at the relay and
     # every admitted SUBSCRIBE is answered synchronously — the model's
     # no-upstream-round-trip precondition.
-    simulator, tree = _build_tree(seed, relays=1, admission=policy, prewarm=1, track=TRACK)
-    start = simulator.now
-    storm = tree.flash_crowd(stormers, window, TRACK)
-    simulator.run(until=simulator.now + DRAIN)
+    run = TreeRun(RelayTreeSpec.star(relays=1), 1, seed, admission=policy)
+    topology = run.topology
+    start = run.simulator.now
+    storm = topology.flash_crowd(stormers, window, TRACK)
+    run.advance(DRAIN)
     storm.raise_for_failures()
     model = AdmissionModel(
         count=stormers,
         window=window,
         start=start,
         policy=policy,
-        link_delay=tree.spec.subscriber_link.delay,
-        alpn_version_negotiation=tree.session_config.alpn_version_negotiation,
+        link_delay=topology.spec.subscriber_link.delay,
+        alpn_version_negotiation=topology.session_config.alpn_version_negotiation,
     )
     measured_latencies = sorted(record.join_latency for record in storm.records)
     modelled_latencies = sorted(model.join_latencies())
     measured_completion = storm.completion_time or 0.0
     model_completion = model.completion_time()
-    relay = tree.leaves()[0].relay
+    relay = topology.leaves()[0].relay
     return ThrottledSample(
         stormers=stormers,
         window=window,
@@ -231,30 +198,30 @@ def _run_spillover(
     seed: int,
     telemetry: Telemetry | None = None,
 ) -> SpilloverSample:
-    simulator, tree = _build_tree(
-        seed, relays=leaves, admission=policy, prewarm=leaves, track=TRACK
+    run = TreeRun(
+        RelayTreeSpec.star(relays=leaves), leaves, seed, admission=policy, telemetry=telemetry
     )
-    storm = tree.topology.flash_crowd(
+    topology = run.topology
+    storm = topology.flash_crowd(
         stormers,
         window,
         TRACK,
         retry=RetryPolicy(max_spillovers=1),
-        leaf=tree.leaves()[0],
+        leaf=topology.leaves()[0],
     )
-    simulator.run(until=simulator.now + DRAIN)
+    run.advance(DRAIN)
     storm.raise_for_failures()
-    admitted_on = {node.host.address: 0 for node in tree.leaves()}
+    admitted_on = {node.host.address: 0 for node in topology.leaves()}
     for record in storm.records:
         admitted_on[record.leaf] += 1
-    if telemetry is not None:
-        collect_run(telemetry.metrics, tree.network, tree)
+    run.collect_telemetry()
     return SpilloverSample(
         stormers=stormers,
         leaves=leaves,
         admitted=storm.admitted,
         rejections=storm.rejections,
         spillovers=storm.spillovers,
-        per_leaf=tuple(admitted_on[node.host.address] for node in tree.leaves()),
+        per_leaf=tuple(admitted_on[node.host.address] for node in topology.leaves()),
         completion=storm.completion_time or 0.0,
     )
 
@@ -283,8 +250,21 @@ class FlashCrowdResult:
         rows.append(self.spillover.as_row())
         return rows
 
+    def gates(self) -> dict[str, bool]:
+        """Every pass/fail condition of the experiment, by name."""
+        return {
+            "baseline_pathology_ok": self.baseline_high_water_grows,
+            "throttled_all_admitted_ok": self.throttled.admitted == self.throttled.stormers,
+            # The throttled storm really exercised admission control.
+            "throttled_rejections_ok": self.throttled.rejections > 0,
+            "admission_model_exact_ok": self.throttled.exact,
+            "spillover_all_admitted_ok": self.spillover.admitted == self.spillover.stormers,
+            # The pinned hotspot storm really spilled to a sibling leaf.
+            "spillovers_ok": self.spillover.spillovers > 0,
+        }
+
     def summary_row(self) -> dict[str, object]:
-        """The gates the perf harness and CI check."""
+        """Headline row for reports."""
         return {
             "baseline_high_water_grows": self.baseline_high_water_grows,
             "throttled_all_admitted": self.throttled.admitted == self.throttled.stormers,

@@ -45,25 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.promotion import PromotionModel, promotion_model
-from repro.experiments.failure_detection import MODEL_TOLERANCE, _snapshot_models
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-)
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.relay import MOQT_ALPN
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
+from repro.experiments.tree_run import MODEL_TOLERANCE, TreeRun, detection_models
+from repro.moqt.session import MOQT_ALPN
 from repro.quic.connection import ConnectionConfig
-from repro.relaynet import FailoverEvent, OriginCluster, RelayTreeSpec
-from repro.relaynet.topology import RelayTopology
+from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
 
 @dataclass
@@ -141,6 +127,20 @@ class OriginFailoverResult:
             abs(self.promotion_latency - self.model.promotion_latency)
             <= MODEL_TOLERANCE
         )
+
+    def gates(self) -> dict[str, bool]:
+        """Every pass/fail condition of the experiment, by name."""
+        return {
+            "gapless_ok": self.gapless,
+            # One death, one promotion, every tier-0 relay re-pointed.
+            "failover_complete_ok": self.event is not None
+            and self.event.complete
+            and self.epoch == 1,
+            "detection_model_ok": self.detection_model_ok,
+            "promotion_model_ok": self.promotion_model_ok,
+            "zero_control_plane_kills_ok": self.control_plane_kills == 0,
+            "zero_false_positives_ok": self.false_positive_events == 0,
+        }
 
     def rows(self) -> list[dict[str, object]]:
         """Per-phase rows: detection, election, re-attach, end-to-end."""
@@ -230,84 +230,48 @@ def run_origin_failover(
     subscribers' leaves never die in this scenario, so nothing below tier 0
     should ever trigger — any failover event except the origin promotion
     counts as a false positive.
+
+    ``origins`` must be at least 2: the promotion needs a standby.
     """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
-    spec = RelayTreeSpec.cdn(
-        mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
-    )
-    cluster = OriginCluster(
-        network, origins=spec.origins, standby_link=spec.tiers[0].uplink
-    )
-    topology = RelayTopology(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
+    if origins < 2:
+        raise ValueError(f"origin failover needs at least one standby: origins={origins}")
+    spec = RelayTreeSpec.cdn(mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins)
+    run = TreeRun(
         spec,
+        subscribers,
+        seed,
+        settle=1.0,
+        payload_size=payload_size,
+        telemetry=telemetry,
+        aggregate_leaves=aggregate_leaves,
         uplink_connection=ConnectionConfig(
             alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
         ),
-        origin_cluster=cluster,
-        aggregate_leaves=aggregate_leaves,
+        sequences=True,
     )
-    topology.attach_subscribers(subscribers)
-    received: dict[int, list[int]] = {sub.index: [] for sub in topology.subscribers}
-    if aggregate_leaves:
-        topology.on_subscriber_split = lambda member, rep: received.__setitem__(
-            member.index, list(received[rep.index])
-        )
-    topology.subscribe_all(
-        TRACK, on_object=lambda sub, obj: received[sub.index].append(obj.group_id)
-    )
-    simulator.run(until=simulator.now + 1.0)
-
-    next_group = 2
-
-    def push(count: int) -> None:
-        nonlocal next_group
-        for _ in range(count):
-            cluster.push(
-                MoqtObject(
-                    group_id=next_group,
-                    object_id=0,
-                    payload=_update_payload(next_group, payload_size),
-                )
-            )
-            next_group += 1
-            simulator.run(until=simulator.now + UPDATE_INTERVAL)
-
-    push(updates_before)
+    cluster = run.cluster
+    topology = run.topology
+    run.push(updates_before)
     # Snapshot every tier-0 uplink's detector state, then crash silently.
     # The model takes the earliest predicted signal across the tier —
     # first detector wins, exactly like the implementation.
     victim = cluster.active
-    models = _snapshot_models(
-        [node.relay.upstream_quic_connection for node in topology.tiers[0]],
-        simulator.now,
+    crashed_at = run.simulator.now
+    models = detection_models(
+        [node.relay.upstream_quic_connection for node in topology.tiers[0]], crashed_at
     )
-    crashed_at = simulator.now
     cluster.crash_active()
     model = promotion_model(
         min(models, key=lambda m: m.detected_at),
         spec.tiers[0].uplink.delay,
         topology.session_config.alpn_version_negotiation,
     )
-    push(updates_between)
-    push(updates_after)
-    simulator.run(until=simulator.now + 3.0)
+    run.push(updates_between)
+    run.push(updates_after)
+    run.advance(3.0)
 
-    if aggregate_leaves:
-        from repro.relaynet import expand_member_sequences
-
-        received = expand_member_sequences(topology, received)
-    updates = updates_before + updates_between + updates_after
-    expected_sequence = list(range(2, updates + 2))
-    gapless = sum(1 for groups in received.values() if groups == expected_sequence)
-    delivered = sum(len(groups) for groups in received.values())
-
+    tally = run.tally(crashed={victim.host.address})
     event = victim.failure_event
-    detection_latency = event.detection_latency if event is not None else None
     promotion_latency = None
     reattached = 0
     if event is not None:
@@ -319,40 +283,28 @@ def run_origin_failover(
         reattached = len(reattach_times)
         if reattach_times:
             promotion_latency = max(reattach_times) - crashed_at
-    false_positives = sum(
-        1 for run_event in topology.events if run_event is not event
-    )
-    control_plane_kills = sum(
-        1 for run_event in topology.events if run_event.cause in ("kill", "leave")
-    )
-    nodes = topology.nodes()
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, topology, origin_cluster=cluster)
     return OriginFailoverResult(
         subscribers=subscribers,
-        updates=updates,
+        updates=tally.updates,
         origins=origins,
         event=event,
         epoch=cluster.epoch,
         promotions=len(cluster.promotions),
         crashed_at=crashed_at,
         detected_via=event.detected_via if event is not None else "",
-        detection_latency=detection_latency,
+        detection_latency=event.detection_latency if event is not None else None,
         model=model,
         promotion_latency=promotion_latency,
         reattached_relays=reattached,
         replayed_objects=sum(p.replayed_objects for p in cluster.promotions),
-        gapless_subscribers=gapless,
-        delivered_objects=delivered,
-        expected_objects=subscribers * updates,
-        duplicates_dropped=sum(
-            node.relay.statistics.duplicate_objects_dropped for node in nodes
-        )
-        + sum(sub.duplicates_dropped * sub.multiplicity for sub in topology.subscribers),
-        recovery_fetches=sum(node.relay.statistics.recovery_fetches for node in nodes),
-        recovered_objects=sum(node.relay.statistics.recovered_objects for node in nodes),
-        false_positive_events=false_positives,
-        control_plane_kills=control_plane_kills,
-        delivery_sequences=received,
+        gapless_subscribers=tally.gapless,
+        delivered_objects=tally.delivered,
+        expected_objects=tally.expected,
+        duplicates_dropped=tally.relay_duplicates + tally.subscriber_duplicates,
+        recovery_fetches=tally.recovery_fetches,
+        recovered_objects=tally.recovered_objects,
+        false_positive_events=tally.false_positives,
+        control_plane_kills=tally.control_plane_kills,
+        delivery_sequences=tally.sequences,
         events=list(topology.events),
     )

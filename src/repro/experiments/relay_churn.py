@@ -33,29 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.churn import RecoveryModel, recovery_model
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-    build_origin,
-)
-from repro.moqt.objectmodel import MoqtObject
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
-from repro.relaynet import (
-    FailoverEvent,
-    OriginCluster,
-    RelayTreeBuilder,
-    RelayTreeSpec,
-)
+from repro.analysis.churn import RecoveryModel
+from repro.experiments.tree_run import TreeRun, reattach_on_floor, recovery_models
+from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.topology import FailoverPolicy
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
 
 @dataclass
@@ -73,6 +55,11 @@ class KillSample:
     #: Closed-form prediction per orphan tier (same grouping).
     model_by_tier: dict[str, RecoveryModel]
     complete: bool
+
+    @property
+    def reattach_model_ok(self) -> bool:
+        """Whether every orphan re-attached on the 3-RTT floor."""
+        return reattach_on_floor(self.latencies_by_tier, self.model_by_tier)
 
     def rows(self) -> list[dict[str, object]]:
         """One row per orphan tier: measured vs. modelled re-attach latency."""
@@ -128,6 +115,14 @@ class RelayChurnResult:
         """Per-kill, per-orphan-tier summary rows."""
         return [row for kill in self.kills for row in kill.rows()]
 
+    def gates(self) -> dict[str, bool]:
+        """Every pass/fail condition of the experiment, by name."""
+        return {
+            "gapless_ok": self.gapless,
+            "reattach_model_ok": all(kill.reattach_model_ok for kill in self.kills),
+            "failover_complete_ok": all(kill.complete for kill in self.kills),
+        }
+
     def summary_row(self) -> dict[str, object]:
         """Headline row for reports."""
         return {
@@ -143,21 +138,8 @@ class RelayChurnResult:
         }
 
 
-def _kill_sample(
-    event: FailoverEvent,
-    spec: RelayTreeSpec,
-    alpn_version_negotiation: bool,
-) -> KillSample:
+def _kill_sample(event: FailoverEvent, models: dict[str, RecoveryModel]) -> KillSample:
     """Pair a failover event's measurements with the model's predictions."""
-    model_by_tier: dict[str, RecoveryModel] = {}
-    for tier_spec in spec.tiers:
-        # Orphans of this tier re-home over their own uplink class.
-        model_by_tier[tier_spec.name] = recovery_model(
-            tier_spec.uplink.delay, alpn_version_negotiation
-        )
-    model_by_tier["subscribers"] = recovery_model(
-        spec.subscriber_link.delay, alpn_version_negotiation
-    )
     return KillSample(
         cause=event.cause,
         killed=event.node,
@@ -166,7 +148,7 @@ def _kill_sample(
         orphan_relays=len(event.orphans("relay")),
         orphan_subscribers=len(event.orphans("subscriber")),
         latencies_by_tier=event.latencies_by_tier(),
-        model_by_tier=model_by_tier,
+        model_by_tier=models,
         complete=event.complete,
     )
 
@@ -207,113 +189,47 @@ def run_relay_churn(
     so delivery sequences, gapless counts and re-attach latencies are
     bit-identical to the dense run.
     """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
-    spec = RelayTreeSpec.cdn(
-        mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
-    )
-    origin_cluster = None
-    if spec.origins > 1:
-        origin_cluster = OriginCluster(
-            network, origins=spec.origins, standby_link=spec.tiers[0].uplink
-        )
-        publisher = origin_cluster.publisher
-    else:
-        publisher = build_origin(network)
-    builder = RelayTreeBuilder(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        failover_policy=failover_policy,
-        origin_cluster=origin_cluster,
+    spec = RelayTreeSpec.cdn(mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins)
+    run = TreeRun(
+        spec,
+        subscribers,
+        seed,
+        payload_size=payload_size,
+        telemetry=telemetry,
         aggregate_leaves=aggregate_leaves,
+        failover_policy=failover_policy,
+        sequences=True,
     )
-    tree = builder.build(spec)
-    tree.attach_subscribers(subscribers)
-    received: dict[int, list[int]] = {sub.index: [] for sub in tree.subscribers}
-    if aggregate_leaves:
-        # A materialised member inherits its representative's delivery
-        # history — that history *is* the member's own under the aggregate
-        # invariant.  Copied before the member sees any new traffic.
-        tree.topology.on_subscriber_split = lambda member, rep: received.__setitem__(
-            member.index, list(received[rep.index])
-        )
-    tree.subscribe_all(
-        TRACK, on_object=lambda sub, obj: received[sub.index].append(obj.group_id)
-    )
-    simulator.run(until=simulator.now + 3.0)
-
-    next_group = 2
-
-    def push(count: int) -> None:
-        nonlocal next_group
-        for _ in range(count):
-            obj = MoqtObject(
-                group_id=next_group,
-                object_id=0,
-                payload=_update_payload(next_group, payload_size),
-            )
-            if origin_cluster is not None:
-                origin_cluster.push(obj)
-            else:
-                publisher.push(obj)
-            next_group += 1
-            simulator.run(until=simulator.now + UPDATE_INTERVAL)
-
+    topology = run.topology
     events: list[FailoverEvent] = []
-    push(updates_before)
+    run.push(updates_before)
     # Kill a mid-tier relay while an update is still in flight: its edge
     # subtree must re-home and recover the missed objects via FETCH.
-    mid_victims = [node for node in tree.tier("mid") if node.alive]
-    events.append(tree.kill_relay(mid_victims[len(mid_victims) // 2]))
-    push(updates_between)
+    mid_victims = [node for node in topology.tier("mid") if node.alive]
+    events.append(topology.kill_relay(mid_victims[len(mid_victims) // 2]))
+    run.push(updates_between)
     if kill_edge:
         # Then kill an edge relay: its subscribers re-attach to surviving
         # leaves and gap-fill from their caches.
-        edge_victims = [node for node in tree.tier("edge") if node.alive]
-        events.append(tree.kill_relay(edge_victims[0]))
-    push(updates_after)
-    simulator.run(until=simulator.now + 5.0)
+        edge_victims = [node for node in topology.tier("edge") if node.alive]
+        events.append(topology.kill_relay(edge_victims[0]))
+    run.push(updates_after)
+    run.advance(5.0)
 
-    if aggregate_leaves:
-        from repro.relaynet import expand_member_sequences
-
-        received = expand_member_sequences(tree.topology, received)
-    updates = updates_before + updates_between + updates_after
-    expected_sequence = list(range(2, updates + 2))
-    gapless = sum(1 for groups in received.values() if groups == expected_sequence)
-    delivered = sum(len(groups) for groups in received.values())
-
-    alpn = tree.session_config.alpn_version_negotiation
-    kills = [_kill_sample(event, spec, alpn) for event in events]
-    relay_duplicates = sum(
-        node.relay.statistics.duplicate_objects_dropped for node in tree.nodes()
-    )
-    recovery_fetches = sum(
-        node.relay.statistics.recovery_fetches for node in tree.nodes()
-    )
-    recovered_objects = sum(
-        node.relay.statistics.recovered_objects for node in tree.nodes()
-    )
-    subscriber_duplicates = sum(
-        sub.duplicates_dropped * sub.multiplicity for sub in tree.subscribers
-    )
-    gap_fetches = sum(sub.gap_fetches * sub.multiplicity for sub in tree.subscribers)
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, tree, origin_cluster=origin_cluster)
+    tally = run.tally()
+    models = recovery_models(spec, topology.session_config.alpn_version_negotiation)
     return RelayChurnResult(
         subscribers=subscribers,
-        updates=updates,
-        kills=kills,
-        gapless_subscribers=gapless,
-        delivered_objects=delivered,
-        expected_objects=subscribers * updates,
-        relay_duplicates_dropped=relay_duplicates,
-        subscriber_duplicates_dropped=subscriber_duplicates,
-        recovery_fetches=recovery_fetches,
-        recovered_objects=recovered_objects,
-        subscriber_gap_fetches=gap_fetches,
-        delivery_sequences=received,
+        updates=tally.updates,
+        kills=[_kill_sample(event, models) for event in events],
+        gapless_subscribers=tally.gapless,
+        delivered_objects=tally.delivered,
+        expected_objects=tally.expected,
+        relay_duplicates_dropped=tally.relay_duplicates,
+        subscriber_duplicates_dropped=tally.subscriber_duplicates,
+        recovery_fetches=tally.recovery_fetches,
+        recovered_objects=tally.recovered_objects,
+        subscriber_gap_fetches=tally.subscriber_gap_fetches,
+        delivery_sequences=tally.sequences,
         events=events,
     )

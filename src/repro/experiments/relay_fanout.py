@@ -24,144 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.fanout import FanoutModel, fanout_model, relative_deviation
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.origin import (  # noqa: F401  (historical re-exports)
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    OriginPublisher,
-    build_origin,
-)
-from repro.moqt.relay import MOQT_ALPN  # noqa: F401  (historical re-export)
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
-from repro.relaynet import OriginCluster, RelayNetStats, RelayTreeBuilder, RelayTreeSpec
+from repro.experiments.tree_run import TreeRun
+from repro.relaynet import RelayTreeSpec
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
-#: Virtual time between pushed updates (keeps pushes distinguishable in
-#: traces without affecting byte counts — links have no bandwidth limit).
-UPDATE_INTERVAL = 0.25
-
-
-def _update_payload(group_id: int, payload_size: int) -> bytes:
-    stem = f"update-{group_id}-".encode()
-    return (stem * (payload_size // len(stem) + 1))[:payload_size]
-
-
-@dataclass
-class TreeRun:
-    """Everything one seeded tree run measured."""
-
-    #: Update-window statistics delta (setup traffic excluded).
-    delta: RelayNetStats
-    #: Objects the origin pushed during the window.
-    origin_objects: int
-    #: Objects delivered to subscriber callbacks during the window.
-    delivered: int
-    #: Total simulator events scheduled over the whole run.
-    events_scheduled: int
-    #: Datagram/buffer pool allocation and reuse counters at run end.
-    pool_counters: dict[str, int]
-    #: Lazy-deletion heap compactions over the whole run.
-    compactions: int
-    #: Fan-out waves that degraded to per-datagram transmission (must stay 0
-    #: now that constrained links batch; gated in the perf harness).
-    link_batch_fallback_waves: int = 0
-
-
-def _run_tree(
-    spec: RelayTreeSpec,
-    subscribers: int,
-    updates: int,
-    payload_size: int,
-    seed: int,
-    telemetry: Telemetry | None = None,
-    aggregate_leaves: bool = False,
-) -> TreeRun:
-    """Build the tree, push ``updates`` objects and measure the update window.
-
-    ``telemetry`` is observational only: metrics are scraped at run end and
-    the span tracer (cleared first, so one tracer can serve several seeded
-    runs) records push/hop/delivery timestamps without scheduling events,
-    drawing randomness or touching wire bytes — seeded outputs are
-    bit-identical with or without it.
-
-    ``spec.origins >= 2`` replaces the singleton origin with an
-    :class:`~repro.relaynet.origincluster.OriginCluster` of that size.  A
-    cluster that never fails adds zero traffic on any tree link — the
-    standby's warm subscription rides its own origin-mesh links — so the
-    measured tier tables are bit-identical to the singleton run (the
-    determinism canary in the test suite pins exactly this).
-
-    ``aggregate_leaves`` runs the subscriber edge in counted aggregate-leaf
-    mode (:mod:`repro.relaynet.aggregate`): identical placement and wire
-    behaviour per connection, one representative per leaf group, every
-    measured statistic multiplied out — tier tables, origin egress and
-    delivered counts are bit-identical to the dense run while
-    ``events_scheduled`` collapses by roughly the leaf fan-out factor.
-    """
-    simulator = Simulator(seed=seed)
-    # The experiment reads link statistics, never traces; a null recorder
-    # removes two trace records per datagram from the fan-out hot path.
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
-    origin_cluster = None
-    if spec.origins > 1:
-        origin_cluster = OriginCluster(
-            network, origins=spec.origins, standby_link=spec.tiers[0].uplink
-        )
-        publisher = origin_cluster.publisher
-    else:
-        publisher = build_origin(network)
-    tree = RelayTreeBuilder(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        origin_cluster=origin_cluster,
-        aggregate_leaves=aggregate_leaves,
-    ).build(spec)
-    tree.attach_subscribers(subscribers)
-    delivered = [0]
-    # Each delivery counts once per subscriber the receiving object stands
-    # in for (multiplicity is 1 everywhere in dense mode).
-    tree.subscribe_all(
-        TRACK,
-        on_object=lambda subscriber, obj: delivered.__setitem__(
-            0, delivered[0] + subscriber.multiplicity
-        ),
-    )
-    simulator.run(until=simulator.now + 3.0)
-
-    before = RelayNetStats.collect(tree)
-    origin_before = publisher.objects_sent
-    delivered_before = delivered[0]
-    for update in range(updates):
-        obj = MoqtObject(
-            group_id=update + 2,
-            object_id=0,
-            payload=_update_payload(update + 2, payload_size),
-        )
-        if origin_cluster is not None:
-            origin_cluster.push(obj)
-        else:
-            publisher.push(obj)
-        simulator.run(until=simulator.now + UPDATE_INTERVAL)
-    simulator.run(until=simulator.now + 3.0)
-    delta = RelayNetStats.collect(tree).delta(before)
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, tree, origin_cluster=origin_cluster)
-    return TreeRun(
-        delta=delta,
-        origin_objects=publisher.objects_sent - origin_before,
-        delivered=delivered[0] - delivered_before,
-        events_scheduled=simulator.events_scheduled,
-        pool_counters=network.datagram_pool.counters(),
-        compactions=simulator.compactions,
-        link_batch_fallback_waves=network.link_batch_fallback_waves,
-    )
+#: Largest relative error between measured and modelled tier bytes a run
+#: may show and still pass (the measured tables match exactly).
+TIER_MODEL_TOLERANCE = 0.10
 
 
 def calibrate_bytes_per_update(payload_size: int, updates: int = 4, seed: int = 17) -> float:
@@ -172,10 +41,12 @@ def calibrate_bytes_per_update(payload_size: int, updates: int = 4, seed: int = 
     divided by the update count is the per-update wire size (payload plus
     subgroup-stream and QUIC framing) the fan-out model scales up.
     """
-    run = _run_tree(RelayTreeSpec.star(relays=1), 1, updates, payload_size, seed)
-    if run.delivered != updates:
-        raise RuntimeError(f"calibration run lost updates: {run.delivered}/{updates}")
-    return run.delta.subscriber_link_bytes / updates
+    window = TreeRun(
+        RelayTreeSpec.star(relays=1), 1, seed, payload_size=payload_size
+    ).measure(updates)
+    if window.delivered != updates:
+        raise RuntimeError(f"calibration run lost updates: {window.delivered}/{updates}")
+    return window.delta.subscriber_link_bytes / updates
 
 
 @dataclass
@@ -276,6 +147,25 @@ class RelayFanoutResult:
         """Per-tier detail rows across all samples."""
         return [row for sample in self.samples for row in sample.tier_rows()]
 
+    def gates(self) -> dict[str, bool]:
+        """Every pass/fail condition of the experiment, by name."""
+        samples = self.samples
+        return {
+            "delivered_ok": all(
+                sample.delivered_objects == sample.subscribers * sample.updates
+                for sample in samples
+            ),
+            "origin_model_ok": all(
+                sample.measured_origin_objects == sample.model.origin_messages
+                for sample in samples
+            ),
+            "tier_model_ok": all(
+                sample.max_tier_byte_deviation <= TIER_MODEL_TOLERANCE for sample in samples
+            ),
+            # Origin egress is O(branching factor): flat over the sweep.
+            "origin_flat_ok": len({sample.origin_egress_bytes for sample in samples}) <= 1,
+        }
+
 
 def run_relay_fanout(
     subscriber_counts: tuple[int, ...] = (10, 100, 1000),
@@ -300,6 +190,15 @@ def run_relay_fanout(
     on :attr:`FanoutSample.latency`; metrics are scraped at each sample's
     end (later samples overwrite earlier gauges).  Measured byte counts are
     unaffected — the calibration run deliberately stays telemetry-free.
+
+    ``origins >= 2`` publishes through an
+    :class:`~repro.relaynet.origincluster.OriginCluster`.  A cluster that
+    never fails adds zero traffic on any tree link (the standby's warm
+    subscription rides its own origin-mesh links), so the tier tables are
+    bit-identical to the singleton run.  ``aggregate_leaves`` runs the
+    subscriber edge counted (:mod:`repro.relaynet.aggregate`): tier tables,
+    origin egress and delivered counts are bit-identical to the dense run
+    while ``events_scheduled`` collapses by roughly the leaf fan-out factor.
     """
     bytes_per_update = calibrate_bytes_per_update(payload_size, seed=seed + 1)
     samples: list[FanoutSample] = []
@@ -307,16 +206,17 @@ def run_relay_fanout(
         spec = RelayTreeSpec.cdn(
             mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
         )
-        run = _run_tree(
+        run = TreeRun(
             spec,
             count,
-            updates,
-            payload_size,
             seed,
+            payload_size=payload_size,
             telemetry=telemetry,
             aggregate_leaves=aggregate_leaves,
         )
-        delta = run.delta
+        window = run.measure(updates)
+        run.collect_telemetry()
+        delta = window.delta
         measured_bytes = delta.tier_uplink_bytes() + (delta.subscriber_link_bytes,)
         measured_objects = tuple(tier.objects_received for tier in delta.tiers) + (
             delta.subscriber_objects_received,
@@ -332,14 +232,14 @@ def run_relay_fanout(
                 tier_names=tuple(tier.name for tier in spec.tiers) + ("subscribers",),
                 measured_tier_bytes=measured_bytes,
                 measured_tier_objects=measured_objects,
-                measured_origin_objects=run.origin_objects,
-                delivered_objects=run.delivered,
+                measured_origin_objects=window.origin_objects,
+                delivered_objects=window.delivered,
                 model=model,
-                events_scheduled=run.events_scheduled,
-                pool_counters=run.pool_counters,
-                compactions=run.compactions,
+                events_scheduled=run.simulator.events_scheduled,
+                pool_counters=run.network.datagram_pool.counters(),
+                compactions=run.simulator.compactions,
                 latency=latency,
-                link_batch_fallback_waves=run.link_batch_fallback_waves,
+                link_batch_fallback_waves=run.network.link_batch_fallback_waves,
             )
         )
     return RelayFanoutResult(

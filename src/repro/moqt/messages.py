@@ -594,7 +594,8 @@ def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage
     """Decode one control message; returns ``(message, next_offset)``.
 
     Raises :class:`NeedMoreData` when the buffer does not yet hold the whole
-    message, which the control-stream reassembly in the session relies on.
+    message, which the control-stream reassembly in the session relies on,
+    and :class:`ProtocolViolation` when the message is unknown or malformed.
     """
     reader = VarintReader(data, offset)
     try:
@@ -609,7 +610,12 @@ def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage
         decoder = _DECODERS.get(message_type)
         if decoder is None:
             raise ProtocolViolation(f"unknown control message type {message_type:#x}")
-        message = decoder.decode_payload(VarintReader(payload))
+        try:
+            message = decoder.decode_payload(VarintReader(payload))
+        except ValueError as error:
+            # VarintError, TrackNameError and an out-of-range enum value are
+            # all ValueErrors: the peer sent a malformed message.
+            raise ProtocolViolation(f"malformed {decoder.__name__}: {error}") from None
         if len(_CONTROL_MESSAGE_CACHE) >= _CONTROL_MESSAGE_CACHE_MAX:
             _CONTROL_MESSAGE_CACHE.clear()
         _CONTROL_MESSAGE_CACHE[key] = message

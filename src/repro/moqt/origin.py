@@ -1,11 +1,9 @@
 """The origin publisher: the MoQT server at the root of a relay tree.
 
-Historically the origin lived inside the E11 experiment
-(:mod:`repro.experiments.relay_fanout`); the replicated-origin work promoted
-it to a proper moqt-layer component so an origin *instance* can exist more
-than once per network — an active publisher and its warm standbys
-(:mod:`repro.relaynet.origincluster`).  The experiment module re-exports
-everything here, so existing imports keep working.
+The origin is a moqt-layer component so an origin *instance* can exist
+more than once per network — an active publisher and its warm standbys
+(:mod:`repro.relaynet.origincluster`).  The relay experiments build it
+through :mod:`repro.experiments.tree_run`.
 
 An :class:`OriginPublisher` is a publisher delegate plus the track state it
 serves:
@@ -30,8 +28,7 @@ from __future__ import annotations
 from repro.moqt.datastream import encode_subgroup_object, encode_subgroup_stream_chunk
 from repro.moqt.messages import FetchType
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
-from repro.moqt.relay import MOQT_ALPN
-from repro.moqt.session import FetchResult, MoqtSession, SubscribeResult
+from repro.moqt.session import MOQT_ALPN, FetchResult, MoqtSession, SubscribeResult
 from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
 from repro.quic.endpoint import QuicEndpoint

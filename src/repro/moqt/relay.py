@@ -42,6 +42,7 @@ from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, FetchType, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
 from repro.moqt.session import (
+    MOQT_ALPN,
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
@@ -56,7 +57,6 @@ from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
-MOQT_ALPN = "moq-00"
 DEFAULT_MOQT_PORT = 4443
 
 #: FETCH range end meaning "everything the cache has" (a group id far beyond

@@ -223,6 +223,8 @@ class SessionStatistics:
     subscribes_received: int = 0
     fetches_sent: int = 0
     fetches_received: int = 0
+    #: Malformed or out-of-place control messages; each closed the session.
+    protocol_violations: int = 0
 
 
 class MoqtSession:
@@ -639,8 +641,15 @@ class MoqtSession:
     # --------------------------------------------------------------- dispatch
     def _on_stream_data(self, stream_id: int, data: bytes, fin: bool) -> None:
         if stream_id == 0 or stream_id == self._control_stream_id:
-            for message in self._control_parser.feed(data):
-                self._handle_control_message(message)
+            try:
+                for message in self._control_parser.feed(data):
+                    self._handle_control_message(message)
+            except ProtocolViolation as error:
+                # A peer's malformed or out-of-place control message ends
+                # this session only; every other session on the host keeps
+                # running.
+                self.statistics.protocol_violations += 1
+                self.close(f"protocol violation: {error}")
             return
         parser = self._stream_parsers.get(stream_id)
         if parser is None:

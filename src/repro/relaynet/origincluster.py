@@ -33,7 +33,7 @@ module owns the membership, the warm caches and the election itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.origin import (
@@ -43,8 +43,8 @@ from repro.moqt.origin import (
     OriginPublisher,
     build_origin_endpoint,
 )
-from repro.moqt.relay import MOQT_ALPN, OPEN_RANGE_END
-from repro.moqt.session import MoqtSession
+from repro.moqt.relay import OPEN_RANGE_END
+from repro.moqt.session import MOQT_ALPN, MoqtSession
 from repro.moqt.track import FullTrackName
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network

@@ -55,13 +55,12 @@ from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.relay import (
     DEDUPE_PRUNE_THRESHOLD,
     DEFAULT_MOQT_PORT,
-    MOQT_ALPN,
     OPEN_RANGE_END,
     MoqtRelay,
     RecoveryBuffer,
     prune_seen_locations,
 )
-from repro.moqt.session import MoqtSession, MoqtSessionConfig, Subscription
+from repro.moqt.session import MOQT_ALPN, MoqtSession, MoqtSessionConfig, Subscription
 from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
 from repro.netsim.node import Host
@@ -73,7 +72,7 @@ from repro.relaynet.aggregate import AggregateLeaf, plan_leaf_assignments
 from repro.relaynet.spec import RelayTreeSpec
 
 if TYPE_CHECKING:
-    from repro.relaynet.origincluster import ClusterOrigin, OriginCluster
+    from repro.relaynet.origincluster import OriginCluster
 
 
 @dataclass(eq=False)

@@ -352,13 +352,14 @@ class TestExperiment:
             stormers=12, subscribe_rate=150.0, bucket_depth=3,
             baseline_stormers=(8, 16),
         )
-        summary = result.summary_row()
-        assert summary["baseline_high_water_grows"]
-        assert summary["throttled_all_admitted"]
-        assert summary["throttled_rejections"] > 0
-        assert summary["model_exact"]
-        assert summary["spillover_all_admitted"]
-        assert summary["spillovers"] > 0
+        assert result.gates() == {
+            "baseline_pathology_ok": True,
+            "throttled_all_admitted_ok": True,
+            "throttled_rejections_ok": True,
+            "admission_model_exact_ok": True,
+            "spillover_all_admitted_ok": True,
+            "spillovers_ok": True,
+        }
         assert len(result.rows()) == 4
 
 

@@ -19,15 +19,9 @@ import pytest
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.origin_failover import run_origin_failover
 from repro.experiments.relay_churn import run_relay_churn
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-    build_origin,
-    run_relay_fanout,
-)
+from repro.experiments.relay_fanout import run_relay_fanout
+from repro.experiments.tree_run import UPDATE_INTERVAL, update_payload
+from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.objectmodel import MoqtObject
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
@@ -169,7 +163,7 @@ def test_leaf_kill_splits_exactly_the_affected_members():
     simulator.run(until=simulator.now + 3.0)
     for group_id in (2, 3, 4):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
 
@@ -181,7 +175,7 @@ def test_leaf_kill_splits_exactly_the_affected_members():
 
     for group_id in (5, 6):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
     simulator.run(until=simulator.now + 5.0)
@@ -226,7 +220,7 @@ def test_healthy_split_preserves_delivery():
     simulator.run(until=simulator.now + 3.0)
     for group_id in (2, 3):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
 
@@ -241,7 +235,7 @@ def test_healthy_split_preserves_delivery():
 
     for group_id in (4, 5):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
     simulator.run(until=simulator.now + 3.0)

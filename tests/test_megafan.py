@@ -23,7 +23,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.relay_fanout import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
+from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.datastream import (
     DataStreamParser,
     decode_complete_datastream,

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.moqt.errors import SubscribeErrorCode
-from repro.moqt.messages import FilterType
+from repro.moqt.errors import ProtocolViolation, SubscribeErrorCode
+from repro.moqt.messages import (
+    MOQT_VERSION_DRAFT_12,
+    ControlStreamParser,
+    FilterType,
+    ServerSetup,
+)
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
 from repro.moqt.relay import MoqtRelay
 from repro.moqt.session import (
@@ -519,3 +524,56 @@ class TestRelay:
         assert fetches and fetches[0].succeeded
         assert [obj.payload for obj in fetches[0].objects] == [b"v1"]
         assert relay.statistics.fetches_forwarded_upstream == 1
+
+
+#: A FETCH_OK (type 0x18) whose GroupOrder byte is the invalid 0xbd.
+MALFORMED_FETCH_OK = bytes.fromhex("18000600bd00000000")
+
+
+class TestHostileControlStream:
+    def test_malformed_control_message_is_a_protocol_violation(self):
+        with pytest.raises(ProtocolViolation, match="malformed FetchOk: 189 is not a valid"):
+            ControlStreamParser().feed(MALFORMED_FETCH_OK)
+
+    def test_malformed_message_closes_only_its_session(self):
+        simulator, session, publisher_sessions, _ = _build()
+        simulator.run(until=1.0)
+        server = publisher_sessions[0]
+        session.connection.send_stream_data(session._control_stream, MALFORMED_FETCH_OK)
+        simulator.run(until=2.0)
+        assert server.closed and server.statistics.protocol_violations == 1
+        assert session.closed and session.statistics.protocol_violations == 0
+
+    def test_out_of_place_message_from_handler_closes_the_session(self):
+        simulator, session, publisher_sessions, _ = _build()
+        simulator.run(until=1.0)
+        server = publisher_sessions[0]
+        stray = ServerSetup(selected_version=MOQT_VERSION_DRAFT_12).encode()
+        session.connection.send_stream_data(session._control_stream, stray)
+        simulator.run(until=2.0)
+        assert server.closed and server.statistics.protocol_violations == 1
+
+    def test_relay_keeps_serving_the_other_downstream_session(self):
+        simulator, delegate, origin_sessions, relay, make_subscriber = (
+            TestRelay()._build_relay_chain()
+        )
+        hostile = make_subscriber(SUBSCRIBER)
+        healthy = make_subscriber(SUBSCRIBER)
+        received = []
+        healthy.subscribe(TRACK, on_object=lambda obj: received.append(obj.group_id))
+        simulator.run(until=3.0)
+        relay_sessions = relay.downstream_sessions()
+        hostile.connection.send_stream_data(hostile._control_stream, MALFORMED_FETCH_OK)
+        simulator.run(until=4.0)
+        origin = origin_sessions[0]
+        for group_id in (2, 3):
+            update = MoqtObject(group_id=group_id, object_id=0, payload=b"v%d" % group_id)
+            delegate.state.publish(update)
+            origin.publish(origin.publisher_subscriptions()[0], update)
+            simulator.run(until=simulator.now + 0.5)
+        assert received == [2, 3]
+        assert hostile.closed and not healthy.closed
+        assert sorted(
+            (session.closed, session.statistics.protocol_violations)
+            for session in relay_sessions
+        ) == [(False, 0), (True, 1)]

@@ -30,14 +30,10 @@ from repro.analysis.promotion import ELECTION_LATENCY, PromotionModel, promotion
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.origin_failover import run_origin_failover
 from repro.experiments.relay_churn import run_relay_churn
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST as ORIGIN,
-    ORIGIN_PORT,
-    TRACK,
-    run_relay_fanout,
-)
+from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.relay import MOQT_ALPN
+from repro.moqt.origin import ORIGIN_HOST as ORIGIN, ORIGIN_PORT, TRACK
+from repro.moqt.session import MOQT_ALPN
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator

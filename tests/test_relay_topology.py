@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.churn import RecoveryModel, expected_gap_objects, recovery_model
-from repro.experiments.relay_fanout import (
+from repro.moqt.origin import (
     ORIGIN_HOST as ORIGIN,
     ORIGIN_PORT,
     TRACK,
@@ -644,7 +644,7 @@ class TestInBandDetection:
     def _detection_scene(self):
         from repro.quic.connection import ConnectionConfig
         from repro.relaynet.topology import RelayTopology
-        from repro.moqt.relay import MOQT_ALPN
+        from repro.moqt.session import MOQT_ALPN
 
         simulator = Simulator(seed=31)
         network = Network(simulator)
@@ -727,7 +727,7 @@ class TestInBandDetection:
         from repro.netsim.link import LinkConfig
         from repro.quic.connection import ConnectionConfig
         from repro.relaynet.topology import RelayTopology
-        from repro.moqt.relay import MOQT_ALPN
+        from repro.moqt.session import MOQT_ALPN
 
         simulator = Simulator(seed=37)
         network = Network(simulator)

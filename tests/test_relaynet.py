@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.fanout import fanout_model, relative_deviation, unicast_origin_messages
-from repro.experiments.relay_fanout import (
+from repro.moqt.origin import (
     ORIGIN_HOST as ORIGIN,
     ORIGIN_PORT,
     TRACK,
